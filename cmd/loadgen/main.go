@@ -18,7 +18,7 @@
 // With -transport the same workload crosses real localhost TCP: requests
 // fan out over -conns multiplexed daemon connections (unique correlation
 // IDs, dedup-cache retry safety, reply demux), so the measured latency
-// includes framing, JSON codecs and kernel round trips — the
+// includes framing, the command codec and kernel round trips — the
 // wire-inclusive series of BENCH_load.json.
 //
 // Server-side knobs (-batch-verify, -pooling, -parallelism, -residuals)

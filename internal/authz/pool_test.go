@@ -127,6 +127,12 @@ func TestPoolingConcurrent(t *testing.T) {
 	write := f.writeRequest(t, []byte("w"), "User_D1", "User_D2")
 	read := readRequest(t, f, "User_D3")
 	uni := f.writeRequest(t, []byte("u"), "User_D1")
+	// One authorized write before the workers start, so every read below
+	// happens after a write of "w" and not only after the workers' own
+	// writes, which nothing orders before another worker's first read.
+	if dec, err := s.Authorize(context.Background(), write); err != nil || !dec.Allowed {
+		t.Fatalf("initial write denied: dec=%+v err=%v", dec, err)
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

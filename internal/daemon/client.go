@@ -1,8 +1,12 @@
 // The multiplexing command client: N concurrent in-flight requests over
 // one shared connection, demultiplexed by Command.ID.
 //
-// The daemon protocol is one JSON Command per envelope with the Reply
-// routed back by sender name, so nothing in the transport orders replies
+// The daemon protocol is one Command per "cmd" envelope and one Reply per
+// "reply" envelope, each in the binary codec of codec.go (uvarint-length
+// strings in a fixed field order, then a flag byte), inside the
+// transport's length-prefixed frame (4-byte length; From, To, Kind as
+// uvarint-length strings; the payload as the rest). Replies are routed
+// back by sender name, so nothing in the transport orders replies
 // or pairs them with requests — a client that treats "the next envelope"
 // as "my reply" cross-wires the moment a retry duplicates a frame or a
 // second request goes out before the first answer returns. Client fixes
@@ -19,7 +23,6 @@ import (
 	"context"
 	cryptorand "crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -176,8 +179,8 @@ func (c *Client) recvLoop() {
 			}
 			return
 		}
-		var reply Reply
-		if env.Kind != "reply" || json.Unmarshal(env.Payload, &reply) != nil || reply.ID == "" {
+		reply, err := DecodeReply(env.Payload)
+		if env.Kind != "reply" || err != nil || reply.ID == "" {
 			c.reg.Counter(MetricMuxStale).Inc()
 			continue
 		}
@@ -226,10 +229,7 @@ func (c *Client) Call(ctx context.Context, cmd Command) (Reply, error) {
 	if cmd.ID == "" {
 		cmd.ID = c.nextID()
 	}
-	body, err := json.Marshal(cmd)
-	if err != nil {
-		return Reply{}, fmt.Errorf("daemon: encode command: %w", err)
-	}
+	body := EncodeCommand(cmd)
 
 	ch := make(chan Reply, 1)
 	c.mu.Lock()

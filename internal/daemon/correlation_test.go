@@ -10,7 +10,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -70,10 +69,7 @@ func TestNaiveSingleRecvClientCrossWires(t *testing.T) {
 
 	naiveCall := func(id string) Reply {
 		t.Helper()
-		body, err := json.Marshal(Command{ID: id, Cmd: "audit"})
-		if err != nil {
-			t.Fatal(err)
-		}
+		body := EncodeCommand(Command{ID: id, Cmd: "audit"})
 		if err := ep.Send("coalitiond", "cmd", body); err != nil {
 			t.Fatal(err)
 		}
@@ -84,8 +80,8 @@ func TestNaiveSingleRecvClientCrossWires(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep Reply
-		if err := json.Unmarshal(env.Payload, &rep); err != nil {
+		rep, err := DecodeReply(env.Payload)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return rep

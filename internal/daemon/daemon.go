@@ -28,7 +28,8 @@ import (
 	"jointadmin/internal/wal"
 )
 
-// Command is the client → daemon request.
+// Command is the client → daemon request. On the wire it is one "cmd"
+// envelope's payload, encoded by EncodeCommand.
 type Command struct {
 	// ID is the client-chosen request identifier, echoed verbatim in
 	// every Reply. The mux client (Client) sets a unique ID per call and
@@ -36,44 +37,46 @@ type Command struct {
 	// pipeline replays the recorded answer for a duplicated ID instead of
 	// re-executing the command. Every client should set one — a command
 	// without an ID is handled, but retries of it re-execute.
-	ID string `json:"id,omitempty"`
+	ID string
 	// Cmd selects the operation: write, read, revoke, mutate, audit,
 	// stats, join, leave, sign (writers); authorize, audit, stats,
 	// replstatus (followers).
-	Cmd string `json:"cmd"`
+	Cmd string
 	// Group overrides the default group of the command (G_write for
 	// write/revoke, G_read for read).
-	Group string `json:"group,omitempty"`
+	Group string
 	// Object names the target object (default: the daemon's demo object).
-	Object string `json:"object,omitempty"`
+	Object string
 	// Data is the write payload (write, sign) or the JSON-encoded wire
-	// AccessRequest to evaluate (a follower's authorize command).
-	Data string `json:"data,omitempty"`
+	// AccessRequest to evaluate (a follower's authorize command). Its
+	// bytes travel verbatim, unescaped.
+	Data string
 	// Op is the permission a sign command requests (default "read"), or
 	// the mutation verb of a mutate command (one per authz.Mutation
 	// variant: link, revoke, revoke-identity, crl, reanchor, delegate,
 	// graph-link).
-	Op string `json:"op,omitempty"`
+	Op string
 	// Signers are the co-signing users of a joint request.
-	Signers []string `json:"signers,omitempty"`
+	Signers []string
 	// Delegated routes a write/read/sign command through the lone
 	// signer's delegation chain instead of a group certificate.
-	Delegated bool `json:"delegated,omitempty"`
+	Delegated bool
 	// Domain is the subject of join/leave.
-	Domain string `json:"domain,omitempty"`
+	Domain string
 }
 
-// Reply is the daemon → client response.
+// Reply is the daemon → client response, encoded by EncodeReply as one
+// "reply" envelope's payload.
 type Reply struct {
 	// ID echoes the Command's request identifier.
-	ID string `json:"id,omitempty"`
+	ID string
 	// OK reports whether the command succeeded.
-	OK bool `json:"ok"`
+	OK bool
 	// Detail is a human-readable outcome (approval route, error text).
-	Detail string `json:"detail,omitempty"`
+	Detail string
 	// Data carries command output: read results, the rendered audit log,
 	// or the JSON metrics snapshot of the stats command.
-	Data string `json:"data,omitempty"`
+	Data string
 }
 
 // Config sets up the demo alliance.

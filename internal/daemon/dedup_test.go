@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -118,8 +117,8 @@ func TestPipelineDedupReplaysDuplicates(t *testing.T) {
 		},
 	})
 	node := newFakeNode(nil)
-	body, _ := json.Marshal(Command{ID: "dup-1", Cmd: "noop"})
-	other, _ := json.Marshal(Command{ID: "dup-2", Cmd: "noop"})
+	body := EncodeCommand(Command{ID: "dup-1", Cmd: "noop"})
+	other := EncodeCommand(Command{ID: "dup-2", Cmd: "noop"})
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: body}
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: body}
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: other}
@@ -140,12 +139,12 @@ func TestPipelineDedupReplaysDuplicates(t *testing.T) {
 		t.Fatalf("%s = %d, want 1", MetricDedupReplays, got)
 	}
 	for _, raw := range node.allReplies("cli") {
-		var rep Reply
-		if err := json.Unmarshal([]byte(raw), &rep); err != nil {
+		rep, err := DecodeReply([]byte(raw))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.ID == "" {
-			t.Fatalf("reply without ID echo: %s", raw)
+			t.Fatalf("reply without ID echo: %q", raw)
 		}
 	}
 }
@@ -170,7 +169,7 @@ func TestPipelineConcurrentDuplicateWaitsForLeader(t *testing.T) {
 		},
 	})
 	node := newFakeNode(nil)
-	body, _ := json.Marshal(Command{ID: "slow-1", Cmd: "noop"})
+	body := EncodeCommand(Command{ID: "slow-1", Cmd: "noop"})
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- p.Serve(context.Background(), node) }()
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: body}
@@ -204,7 +203,7 @@ func TestPipelineNoIDBypassesDedup(t *testing.T) {
 		},
 	})
 	node := newFakeNode(nil)
-	body, _ := json.Marshal(Command{Cmd: "noop"})
+	body := EncodeCommand(Command{Cmd: "noop"})
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: body}
 	node.envs <- transport.Envelope{From: "cli", Kind: "cmd", Payload: body}
 	close(node.envs)

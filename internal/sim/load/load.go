@@ -512,7 +512,7 @@ type RunConfig struct {
 	Seed int64
 	// Transport drives the workload over real localhost TCP through the
 	// daemon serve pipeline and mux clients, so latency includes framing,
-	// JSON codecs, kernel round trips and correlation bookkeeping.
+	// the command codec, kernel round trips and correlation bookkeeping.
 	Transport bool
 	// Conns is the mux client connection count in transport mode
 	// (default 4, capped at Concurrency).

@@ -1,14 +1,16 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,8 +19,9 @@ import (
 )
 
 // TCPNode is a TCP-backed endpoint: it listens on its own address and
-// dials peers on demand (connections are cached per destination). Frames
-// are length-prefixed gob-encoded Envelopes.
+// dials peers on demand (connections are cached per destination). Each
+// Envelope travels as one length-prefixed binary frame (see the package
+// comment).
 //
 // Connection state is per peer: each peer carries its own lock that
 // serializes dials and frame writes to that destination, so two
@@ -194,8 +197,9 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		n.mu.Unlock()
 		n.metrics().Gauge(MetricAcceptedConns).Dec()
 	}()
+	r := bufio.NewReader(conn)
 	for {
-		env, size, err := readFrame(conn)
+		env, size, err := readFrame(r)
 		if err != nil {
 			return
 		}
@@ -403,64 +407,110 @@ func (n *TCPNode) Close() error {
 	return nil
 }
 
-// frame wire format: 4-byte big-endian length, then gob(Envelope).
-const maxFrame = 16 << 20
+// Frame layout: a 4-byte big-endian body length, then the body
+//
+//	uvarint len(From) | From
+//	uvarint len(To)   | To
+//	uvarint len(Kind) | Kind
+//	Payload             (the rest of the body, verbatim)
+//
+// Every length is a minimal uvarint, so an envelope has exactly one
+// encoding and readFrame rejects any other.
+const (
+	frameHeader = 4
+	maxFrame    = 16 << 20
+	// frameChunk bounds how far readFrame allocates ahead of the bytes
+	// that have actually arrived.
+	frameChunk = 64 << 10
+)
 
-// marshalFrame encodes one envelope into its on-wire frame (length
-// prefix + gob body). Encoding once up front lets Send retry the same
-// bytes without re-touching the caller's payload.
-func marshalFrame(env Envelope) ([]byte, error) {
-	var buf frameBuffer
-	buf.b = append(buf.b, 0, 0, 0, 0) // length prefix placeholder
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(env); err != nil {
-		return nil, err
-	}
-	binary.BigEndian.PutUint32(buf.b[:4], uint32(len(buf.b)-4))
-	return buf.b, nil
+// ErrMalformed reports bytes that are not a valid field encoding: a
+// length that is not a minimal uvarint, or one that runs past the end of
+// its input.
+var ErrMalformed = errors.New("transport: malformed field")
+
+// AppendField appends s as one field: its length as a uvarint, then its
+// bytes. Frames and the daemon's command codec share the encoding.
+func AppendField(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
 }
 
-// readFrame reads one length-prefixed frame and reports its size on the
-// wire (header + body).
+// FieldSize is the encoded size of an n-byte field.
+func FieldSize(n int) int { return (bits.Len64(uint64(n)|1)+6)/7 + n }
+
+// ReadUvarint splits one minimal uvarint off the front of b.
+func ReadUvarint(b []byte) (v uint64, rest []byte, err error) {
+	v, k := binary.Uvarint(b)
+	if k <= 0 || (k > 1 && b[k-1] == 0) {
+		return 0, nil, ErrMalformed
+	}
+	return v, b[k:], nil
+}
+
+// ReadField splits one field (see AppendField) off the front of b. The
+// field aliases b.
+func ReadField(b []byte) (field, rest []byte, err error) {
+	n, rest, err := ReadUvarint(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n > uint64(len(rest)) {
+		return nil, nil, ErrMalformed
+	}
+	return rest[:n], rest[n:], nil
+}
+
+// marshalFrame encodes one envelope into its on-wire frame. Encoding
+// once up front lets Send retry the same bytes without re-touching the
+// caller's payload.
+func marshalFrame(env Envelope) ([]byte, error) {
+	size := FieldSize(len(env.From)) + FieldSize(len(env.To)) + FieldSize(len(env.Kind)) + len(env.Payload)
+	if size > maxFrame {
+		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
+	}
+	b := make([]byte, frameHeader, frameHeader+size)
+	binary.BigEndian.PutUint32(b, uint32(size))
+	b = AppendField(b, env.From)
+	b = AppendField(b, env.To)
+	b = AppendField(b, env.Kind)
+	return append(b, env.Payload...), nil
+}
+
+// readFrame reads one frame and reports its size on the wire (header +
+// body). The body buffer grows with the bytes received, at most
+// frameChunk ahead of them, so a header that claims a large frame and
+// then stalls pins almost nothing.
 func readFrame(r io.Reader) (Envelope, int, error) {
-	var hdr [4]byte
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Envelope{}, 0, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := int(binary.BigEndian.Uint32(hdr[:]))
 	if size > maxFrame {
 		return Envelope{}, 0, fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
 	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Envelope{}, 0, err
+	body := make([]byte, 0, min(size, frameChunk))
+	for len(body) < size {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(size-len(body), len(body)))
+		}
+		n, err := io.ReadFull(r, body[len(body):min(size, cap(body))])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return Envelope{}, 0, err
+		}
 	}
-	var env Envelope
-	if err := gob.NewDecoder(newByteReader(body)).Decode(&env); err != nil {
-		return Envelope{}, 0, err
+	var head [3][]byte // From, To, Kind
+	for i := range head {
+		var err error
+		if head[i], body, err = ReadField(body); err != nil {
+			return Envelope{}, 0, err
+		}
 	}
-	return env, len(hdr) + int(size), nil
-}
-
-type frameBuffer struct{ b []byte }
-
-func (f *frameBuffer) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
-}
-
-type byteReader struct {
-	b []byte
-	i int
-}
-
-func newByteReader(b []byte) *byteReader { return &byteReader{b: b} }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
+	env := Envelope{From: string(head[0]), To: string(head[1]), Kind: string(head[2]), Payload: body}
+	return env, frameHeader + size, nil
 }

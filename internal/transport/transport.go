@@ -1,9 +1,13 @@
 // Package transport provides the message-passing substrate the coalition
 // protocols run on: a deterministic in-memory network with injectable
 // latency, loss and node failures (used by simulations and benchmarks),
-// and a TCP implementation with length-prefixed gob framing (used by the
-// runnable servers). Both satisfy the same interfaces so every protocol is
-// written once.
+// and a TCP implementation (used by the runnable servers). Both satisfy
+// the same interfaces so every protocol is written once.
+//
+// On TCP each Envelope is one frame: a 4-byte big-endian body length,
+// then From, To and Kind as uvarint-length byte strings, then Payload as
+// the rest of the body. Lengths are minimal uvarints, so every envelope
+// has exactly one encoding; frames over 16 MiB are refused.
 package transport
 
 import (
@@ -25,7 +29,9 @@ type Envelope struct {
 	// Kind tags the message type (e.g. jointsig.request); multiplexed
 	// protocols dispatch on it.
 	Kind string
-	// Payload is the opaque message body (JSON in this repository).
+	// Payload is the opaque message body, carried verbatim as the tail
+	// of the TCP frame. The daemon's commands and replies use the binary
+	// codec in internal/daemon/codec.go; other protocols send JSON.
 	Payload []byte
 }
 

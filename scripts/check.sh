@@ -54,66 +54,43 @@ go run ./cmd/loadgen -principals 2000 -objects 16 -keys 8 -pool 48 \
 echo "==> delegation scenario smoke (8-scenario suite incl. depth bound through the daemon)"
 go run ./cmd/experiments -only e12 > /dev/null
 
-echo "==> docs lint (every CLI flag and replication metric documented)"
+echo "==> fuzz (each decoder of untrusted bytes, 10s per target)"
+for target in \
+    ./internal/transport:FuzzReadFrame \
+    ./internal/daemon:FuzzDecodeCommand \
+    ./internal/daemon:FuzzDecodeReply \
+    ./internal/wal:FuzzFrameScan \
+    ./internal/pki:FuzzCRLUnmarshal \
+    ./internal/pki:FuzzDelegationUnmarshal \
+    ./internal/logic:FuzzParseFormula; do
+    go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "${target%%:*}"
+done
+
+echo "==> docs lint (every CLI flag and registered metric documented)"
 fail=0
-flags=$(grep -ohE 'flag\.[A-Za-z]+\("[a-z][a-z0-9-]*"' \
-    cmd/coalitiond/main.go cmd/policyctl/main.go cmd/loadgen/main.go |
-    sed -E 's/.*\("([^"]+)"/\1/' | sort -u)
-for f in $flags; do
-    if ! grep -rq -- "-$f" docs/; then
-        echo "docs lint: flag -$f (cmd/) not documented anywhere in docs/" >&2
-        fail=1
-    fi
-done
-metrics=$(grep -ohE '"repl_[a-z_]+"' internal/replication/*.go | tr -d '"' | sort -u)
-for m in $metrics; do
-    if ! grep -rq -- "$m" docs/; then
-        echo "docs lint: replication metric $m not documented anywhere in docs/" >&2
-        fail=1
-    fi
-done
-residual_metrics=$(grep -ohE '"authz_residual_[a-z_]+"' internal/authz/obs.go | tr -d '"' | sort -u)
-for m in $residual_metrics; do
-    if ! grep -rq -- "$m" docs/; then
-        echo "docs lint: residual metric $m not documented anywhere in docs/" >&2
-        fail=1
-    fi
-done
-batch_metrics=$(grep -ohE '"authz_batch_verify_[a-z_]+"' internal/authz/obs.go | tr -d '"' | sort -u)
-for m in $batch_metrics; do
-    if ! grep -rq -- "$m" docs/; then
-        echo "docs lint: batch-verify metric $m not documented anywhere in docs/" >&2
-        fail=1
-    fi
-done
-loadgen_metrics=$(grep -ohE '"loadgen_[a-z_]+"' internal/sim/load/load.go | tr -d '"' | sort -u)
-for m in $loadgen_metrics; do
-    if ! grep -rq -- "$m" docs/; then
-        echo "docs lint: loadgen metric $m not documented anywhere in docs/" >&2
-        fail=1
-    fi
-done
-delegation_metrics=$(grep -ohE '"delegation_[a-z_]+"' internal/delegation/*.go | tr -d '"' | sort -u)
-for m in $delegation_metrics; do
-    if ! grep -rq -- "$m" docs/; then
-        echo "docs lint: delegation metric $m not documented anywhere in docs/" >&2
-        fail=1
-    fi
-done
-mux_metrics=$(grep -ohE '"daemon_(mux|dedup)_[a-z_]+"' internal/daemon/*.go | tr -d '"' | sort -u)
-for m in $mux_metrics; do
-    if ! grep -rq -- "$m" docs/; then
-        echo "docs lint: mux/dedup metric $m not documented anywhere in docs/" >&2
-        fail=1
-    fi
-done
-backpressure_metrics=$(grep -ohE '"transport_(inbox_full|dropped)_[a-z_]+"' internal/transport/*.go | tr -d '"' | sort -u)
-for m in $backpressure_metrics; do
-    if ! grep -rq -- "$m" docs/; then
-        echo "docs lint: transport metric $m not documented anywhere in docs/" >&2
-        fail=1
-    fi
-done
+# One row per family: what it is; source files (tests excluded); pattern
+# around the quoted name; what the docs write before the name.
+while IFS=';' read -r what files pattern lead; do
+    # shellcheck disable=SC2086
+    names=$(ls $files | grep -v '_test\.go$' | xargs grep -ohE "$pattern" |
+        grep -oE '"[^"]+"' | tr -d '"' | sort -u)
+    for n in $names; do
+        if ! grep -rqF -- "$lead$n" docs/; then
+            echo "docs lint: $what $lead$n ($files) not documented anywhere in docs/" >&2
+            fail=1
+        fi
+    done
+done <<'EOF'
+flag;cmd/coalitiond/main.go cmd/policyctl/main.go cmd/loadgen/main.go;flag\.[A-Za-z]+\("[a-z][a-z0-9-]*";-
+metric;internal/authz/*.go;"authz_[a-z_]+";
+metric;internal/daemon/*.go;"daemon_[a-z_]+";
+metric;internal/delegation/*.go;"delegation_[a-z_]+";
+metric;internal/jointsig/*.go;"jointsig_[a-z_]+";
+metric;internal/replication/*.go;"repl_[a-z_]+";
+metric;internal/sim/load/*.go;"loadgen_[a-z_]+";
+metric;internal/transport/*.go;"transport_[a-z_]+";
+metric;internal/wal/*.go;"(wal|snapshot)_[a-z_]+";
+EOF
 # Mutation verb parity: every authz.Mutation verb must be wired through
 # policyctl's mutate command and documented.
 verbs=$(grep -ohE 'Verb[A-Za-z]+ = "[a-z-]+"' internal/authz/mutation.go |
