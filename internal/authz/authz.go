@@ -291,17 +291,11 @@ func (s *Server) deny(tr *reqTrace, req *AccessRequest, group, reason string, pr
 		op = req.Requests[0].Op
 		object = req.Requests[0].Object
 	}
-	trace := ""
-	if proof != nil && tr.sink {
-		// Rendering the derivation is pure overhead when no audit sink
-		// will consume the entry.
-		trace = proof.String()
-	}
 	s.audit(audit.Entry{
 		At: s.clk.Now(), Outcome: audit.Denied, Server: s.name,
 		Requestor: requestor, Operation: string(op), Object: object,
 		Group: group, Reason: reason,
-		RequestID: tr.id, Spans: tr.spans, ProofTrace: trace,
+		RequestID: tr.id, Spans: tr.spans, ProofTrace: tr.render(proof),
 	})
 	return Decision{Allowed: false, Group: group, Reason: reason, DeniedStep: step, RequestID: tr.id, Proof: proof},
 		fmt.Errorf("%w: %s", ErrDenied, reason)
@@ -456,16 +450,17 @@ func (s *Server) Authorize(ctx context.Context, req AccessRequest) (Decision, er
 
 	tr.endOK()
 	tr.finish(true, "")
+	reason := gs.String()
 	s.audit(audit.Entry{
 		At: now, Outcome: audit.Approved, Server: s.name,
 		Requestor: req.Requests[0].User, Operation: string(op),
 		Object: object, Group: group,
-		Reason:     gs.String(),
+		Reason:     reason,
 		RequestID:  tr.id,
 		Spans:      tr.spans,
-		ProofTrace: eng.Proof().String(),
+		ProofTrace: tr.render(eng.Proof()),
 	})
-	return Decision{Allowed: true, Group: group, Reason: gs.String(), RequestID: tr.id, Proof: eng.Proof(), Data: data}, nil
+	return Decision{Allowed: true, Group: group, Reason: reason, RequestID: tr.id, Proof: eng.Proof(), Data: data}, nil
 }
 
 // idResult carries one identity certificate through the two verification
@@ -481,7 +476,8 @@ type idResult struct {
 // signature per certificate) on the parallel fan-out with cache lookups by
 // fingerprint, then the logical derivations serially into the request's
 // fork. Cache hits skip both the RSA verification and the re-derivation;
-// validity and key-revocation are still re-checked at the current time.
+// validity and the revocation of the signer's and the subject's keys are
+// still re-checked at the current time.
 func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Engine, ids []pki.Signed[pki.Identity], now clock.Time) (map[string]sharedrsa.PublicKey, error) {
 	results := make([]idResult, len(ids))
 	var err error
@@ -525,8 +521,11 @@ func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Eng
 			if !ok || !r.hit.validity.Contains(now) {
 				return nil, fmt.Errorf("identity certificate invalid: %v", pki.ErrExpired)
 			}
+			if eng.Store().KeyRevoked(r.hit.signer, now) {
+				return nil, errors.New("no key belief for CA " + idc.Cert.Issuer)
+			}
 			if eng.Store().KeyRevoked(ks.K, now) {
-				return nil, fmt.Errorf("identity derivation failed: key %s revoked as of %s", ks.K, now)
+				return nil, errors.New(keyRevokedReason(ks.K, now))
 			}
 			eng.Replay(ks, r.hit.note)
 			userKeys[idc.Cert.Subject] = r.hit.subjectKey
@@ -542,6 +541,7 @@ func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Eng
 		}
 		st.cache.put(r.fp, cachedCert{
 			formula:    f,
+			signer:     caBelief.K,
 			validity:   clock.NewInterval(idc.Cert.NotBefore, idc.Cert.NotAfter),
 			subjectKey: r.upk,
 			note:       "cached: identity of " + idc.Cert.Subject + " (fp " + r.fp + ")",
@@ -549,6 +549,20 @@ func (s *Server) verifyIdentities(ctx context.Context, st *state, eng *logic.Eng
 		userKeys[idc.Cert.Subject] = r.upk
 	}
 	return userKeys, nil
+}
+
+// keyRevokedReason and membershipRevokedReason word a cache hit's
+// revocation denial exactly as the derivation it memoizes would
+// (AcceptKeyCertificate and AcceptMembershipCertificate under
+// VerifyCertificate), so a decision never depends on whether the
+// certificate's verification was cached.
+func keyRevokedReason(k logic.KeyID, now clock.Time) string {
+	return fmt.Sprintf("identity derivation failed: verify certificate: key certificate: key %s revoked as of %s", k, now)
+}
+
+func membershipRevokedReason(mem logic.MemberOf, now clock.Time) string {
+	return fmt.Sprintf("membership derivation failed: verify certificate: attribute certificate: membership of %s in %s revoked as of %s",
+		mem.Who, mem.G.Name, now)
 }
 
 // membershipResult is the outcome of Step 2.
@@ -601,9 +615,11 @@ func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessReque
 		if !isMem || !e.validity.Contains(now) {
 			return out, fmt.Errorf("%s certificate invalid: %v", certKind(req), pki.ErrExpired)
 		}
+		if eng.Store().KeyRevoked(e.signer, now) {
+			return out, errors.New("no key belief for AA")
+		}
 		if eng.Store().Revoked(mem.Who, mem.G, now) {
-			return out, fmt.Errorf("membership derivation failed: membership of %s in %s revoked as of %s",
-				mem.Who, mem.G.Name, now)
+			return out, errors.New(membershipRevokedReason(mem, now))
 		}
 		out.mem = mem
 		out.memStep = eng.Replay(mem, e.note)
@@ -637,6 +653,7 @@ func (s *Server) verifyMembership(st *state, eng *logic.Engine, req *AccessReque
 	out.mem, out.memStep = mem, memStep
 	st.cache.put(fp, cachedCert{
 		formula:  mem,
+		signer:   aaBelief.K,
 		validity: out.certValidity,
 		note:     "cached: membership of " + issuedTo + " in " + out.group + " (fp " + fp + ")",
 	})
@@ -668,6 +685,7 @@ func (s *Server) verifyDelegatedMembership(st *state, eng *logic.Engine, req *Ac
 		}
 		st.cache.put(fp, cachedCert{
 			formula:  pki.DelegationLinkFormula(req.Delegation),
+			signer:   logic.KeyID(st.anchors.AAKey.KeyID()),
 			validity: clock.NewInterval(c.NotBefore, c.NotAfter),
 			note:     "cached: delegation leaf for " + c.Subject.Name + " in " + c.Group + " (fp " + fp + ")",
 		})

@@ -1,9 +1,9 @@
 // Batched certificate verification for Step 1.
 //
-// On a warm certificate cache Step 1 costs no RSA at all, but every
-// belief mutation (a revocation, a CRL, a group link) publishes a fresh
-// snapshot with an empty cache, so under churn each request re-verifies
-// its k co-signer identity certificates. Grouped by issuing CA those k
+// On a warm certificate cache Step 1 costs no RSA at all, but a request
+// presenting never-seen certificates — or ones whose entries a revocation
+// dropped from the cache, or any after a re-anchoring — re-verifies its
+// k co-signer identity certificates. Grouped by issuing CA those k
 // verifications share one public key, which is exactly the shape the
 // k-way screening check in internal/sharedrsa exploits — see the package
 // comment there for the soundness argument and for what the blinded

@@ -109,9 +109,10 @@ func (Reanchor) Verb() string           { return VerbReanchor }
 
 // Apply verifies and applies one belief mutation, publishing a new
 // snapshot (journaled first when a journal is attached) with recompiled
-// residual checklists and a fresh certificate cache. It is the single
-// entry point for belief changes; the Process*/Reanchor methods are
-// deprecated wrappers around it.
+// residual checklists and the certificate cache carried over minus the
+// entries a revocation falsifies (a re-anchoring starts a fresh one).
+// It is the single entry point for belief changes; the Process*/Reanchor
+// methods are deprecated wrappers around it.
 func (s *Server) Apply(ctx context.Context, m Mutation) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -210,8 +211,8 @@ func (s *Server) applyGroupLink(link pki.Signed[pki.GroupLink]) error {
 // applyIdentityRevocation verifies and applies an IdentityRevocation
 // mutation: requests signed with the revoked key are denied from the
 // effective time on (identity revocation per Stubblebine–Wright, which
-// the paper defers to). The snapshot swap discards every cached
-// certificate verification.
+// the paper defers to). The snapshot swap drops the cached verifications
+// the revoked key signed or binds.
 func (s *Server) applyIdentityRevocation(rev pki.Signed[pki.IdentityRevocation]) (err error) {
 	defer func(start time.Time) { s.observeRevocation("identity", start, err) }(time.Now())
 	err = s.mutate(func(cur *state, eng *logic.Engine) (*wal.Record, error) {
@@ -282,8 +283,8 @@ func (s *Server) applyCRL(crl pki.SignedCRL) (applied int, err error) {
 // applyRevocation verifies a revocation certificate (from the RA or the
 // AA itself) and records the negative belief in a new snapshot;
 // subsequent derivations for the revoked membership fail
-// (believe-until-revoked), and every cached certificate verification is
-// discarded with the old snapshot.
+// (believe-until-revoked), and the snapshot swap drops the revoked
+// membership's cached verifications.
 func (s *Server) applyRevocation(rev pki.Signed[pki.Revocation]) (err error) {
 	defer func(start time.Time) { s.observeRevocation("membership", start, err) }(time.Now())
 	var trace string

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"jointadmin/internal/audit"
+	"jointadmin/internal/logic"
 	"jointadmin/internal/obs"
 )
 
@@ -59,14 +60,18 @@ const (
 	// neither approvals nor denials.
 	MetricCanceled = "authz_canceled_total"
 	// MetricCacheHits counts verified-certificate cache hits, labeled by
-	// certificate kind (identity, attribute).
+	// certificate kind (identity, attribute, delegation).
 	MetricCacheHits = "authz_cert_cache_hits_total"
 	// MetricCacheMisses counts verified-certificate cache misses, labeled
-	// by certificate kind (identity, attribute).
+	// by certificate kind (identity, attribute, delegation).
 	MetricCacheMisses = "authz_cert_cache_misses_total"
-	// MetricCacheInvalidated counts cache entries discarded by belief
-	// mutations (revocations, group links, re-anchoring).
+	// MetricCacheInvalidated counts cache entries dropped at snapshot
+	// publish: those a revocation in the new belief set could falsify, and
+	// every entry on re-anchoring.
 	MetricCacheInvalidated = "authz_cert_cache_invalidated_total"
+	// MetricCacheCarried counts cache entries a belief mutation carried
+	// into the next snapshot.
+	MetricCacheCarried = "authz_cert_cache_carried_total"
 	// MetricSnapshotSwaps counts published belief snapshots.
 	MetricSnapshotSwaps = "authz_snapshot_swaps_total"
 	// MetricResidualHits counts requests decided on the precompiled
@@ -147,7 +152,8 @@ func (s *Server) buildHotMetrics() {
 // reqTrace accumulates the spans of one request evaluation. sink
 // records whether any audit consumer (log or journal) will read the
 // entry; when false, span accumulation and proof rendering are skipped
-// — the step and request histograms are still observed.
+// — the step and request histograms are still observed. res is the
+// residue a residual-path proof was spliced from (nil on full replay).
 type reqTrace struct {
 	s     *Server
 	id    string
@@ -156,6 +162,7 @@ type reqTrace struct {
 	step  string
 	start time.Time
 	sink  bool
+	res   *residue
 }
 
 // beginTrace assigns the next request ID ("P-000007") and starts timing.
@@ -182,6 +189,22 @@ func (s *Server) requestID() string {
 	}
 	buf = append(buf, n...)
 	return string(buf)
+}
+
+// render returns the proof trace for the request's audit entry. It is
+// the one rendering rule of every decision path, approval or denial,
+// residual or full replay: nothing is rendered unless an audit sink will
+// read the entry, and a proof spliced from a residue reuses the residue's
+// pre-rendered prefix (base proof plus recorded segment), rendering only
+// the leaf steps after it.
+func (t *reqTrace) render(p *logic.Proof) string {
+	if p == nil || !t.sink {
+		return ""
+	}
+	if t.res != nil {
+		return t.res.tracePrefix + p.StringFrom(t.res.prefixLen)
+	}
+	return p.String()
 }
 
 // begin closes the current span (as ok) and opens the named one.

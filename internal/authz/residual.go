@@ -16,11 +16,12 @@
 // Soundness is inherited from the snapshot discipline: residues live in
 // the immutable state, so every belief mutation publishes recompiled
 // residues and invalidation is free — a residue can never outlive the
-// belief set it was compiled from, exactly the guarantee the verified-
-// certificate cache already pins. The object store, by contrast,
-// mutates outside snapshot publishes (writes, ACL changes), so the ACL
-// check stays a live leaf and object creation or ACL modification
-// triggers RecompileResiduals.
+// belief set it was compiled from. The leaves that consult the
+// verified-certificate cache (carried across mutations, snapshot.go)
+// re-check validity and every revocation the derivation would. The
+// object store, by contrast, mutates outside snapshot publishes (writes,
+// ACL changes), so the ACL check stays a live leaf and object creation
+// or ACL modification triggers RecompileResiduals.
 
 package authz
 
@@ -472,6 +473,7 @@ func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest)
 		s.reg.Counter(MetricCacheHits, "kind", "identity").Inc()
 	}
 	tr := s.beginTrace()
+	tr.res = res
 	deny := func(group, reason string) (Decision, error, bool) {
 		dec, err := s.deny(tr, req, group, reason, pr)
 		return dec, err, true
@@ -510,8 +512,11 @@ func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest)
 		if !e.validity.Contains(now) {
 			return deny("", fmt.Sprintf("identity certificate invalid: %v", pki.ErrExpired))
 		}
+		if store.KeyRevoked(e.signer, now) {
+			return deny("", "no key belief for CA "+idc.Cert.Issuer)
+		}
 		if store.KeyRevoked(ks.K, now) {
-			return deny("", fmt.Sprintf("identity derivation failed: key %s revoked as of %s", ks.K, now))
+			return deny("", keyRevokedReason(ks.K, now))
 		}
 		pr.Append(logic.RuleResidualLeaf, nil, ks, now, e.note)
 		userKeys[idc.Cert.Subject] = e.subjectKey
@@ -571,9 +576,11 @@ func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest)
 		memStep = pr.Append(logic.RuleResidualLeaf, nil, mem, now,
 			"membership of "+subject+" in "+group+" derived from the absorbed delegation chain ["+chain.Path+"]")
 	} else {
+		if store.KeyRevoked(memHit.signer, now) {
+			return deny(group, "no key belief for AA")
+		}
 		if store.Revoked(mem.Who, mem.G, now) {
-			return deny(group, fmt.Sprintf("membership derivation failed: membership of %s in %s revoked as of %s",
-				mem.Who, mem.G.Name, now))
+			return deny(group, membershipRevokedReason(mem, now))
 		}
 		memStep = pr.Append(logic.RuleResidualLeaf, nil, mem, now, memHit.note)
 	}
@@ -714,23 +721,17 @@ func (s *Server) tryResidual(ctx context.Context, st *state, req *AccessRequest)
 
 	tr.endOK()
 	tr.finish(true, "")
-	trace := ""
-	if s.log != nil || s.journalRef() != nil {
-		// Splice the pre-rendered prefix (base proof + recorded segment)
-		// with the leaf steps rendered fresh — the rendering analogue of
-		// the proof splice itself.
-		trace = res.tracePrefix + pr.StringFrom(res.prefixLen)
-	}
+	reason := gs.String()
 	s.audit(audit.Entry{
 		At: now, Outcome: audit.Approved, Server: s.name,
 		Requestor: req.Requests[0].User, Operation: string(op),
 		Object: object, Group: group,
-		Reason:     gs.String(),
+		Reason:     reason,
 		RequestID:  tr.id,
 		Spans:      tr.spans,
-		ProofTrace: trace,
+		ProofTrace: tr.render(pr),
 	})
-	return Decision{Allowed: true, Group: group, Reason: gs.String(), RequestID: tr.id, Proof: pr, Data: data}, nil, true
+	return Decision{Allowed: true, Group: group, Reason: reason, RequestID: tr.id, Proof: pr, Data: data}, nil, true
 }
 
 // execute performs the approved operation on the object store (shared by

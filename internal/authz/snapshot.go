@@ -7,9 +7,10 @@
 // and runs lock-free against it: certificate derivations go into a
 // per-request fork of the snapshot's engine, and successful
 // verifications are memoized in the snapshot's certificate cache (keyed by
-// certificate fingerprint). Because the cache lives inside the snapshot,
-// every belief mutation discards it wholesale — a cached certificate can
-// never outlive the belief set it was verified under. Each snapshot also
+// certificate fingerprint). A belief mutation carries the cache into the
+// next snapshot minus every entry a revocation in the new belief set
+// could falsify (certCache.carry); a re-anchoring starts a fresh one, so
+// nothing verified under an old key epoch survives. Each snapshot also
 // carries the residual checklists compiled against its belief set
 // (residual.go), so residue invalidation rides the same swap.
 
@@ -72,19 +73,22 @@ func (s *Server) Snapshot() Snapshot {
 }
 
 // cachedCert is one memoized certificate verification: the formula the
-// derivation concluded, the certificate's validity interval (re-checked at
+// derivation concluded, the key it was verified under (the CA's believed
+// key for an identity certificate, the AA key for an attribute or
+// delegation leaf), the certificate's validity interval (re-checked at
 // hit time — the clock advances within a snapshot's lifetime), and, for
 // identity certificates, the subject's parsed verification key.
 type cachedCert struct {
 	formula    logic.Formula
+	signer     logic.KeyID
 	validity   clock.Interval
 	subjectKey sharedrsa.PublicKey
 	note       string
 }
 
 // certCache memoizes successful certificate verifications by fingerprint.
-// It is bound to exactly one state: belief mutations publish a new state
-// with a fresh cache, so entries are invalidated wholesale.
+// Each state owns one; a belief mutation hands the next state a filtered
+// copy (carry) and a re-anchoring a fresh one.
 type certCache struct {
 	mu sync.RWMutex
 	m  map[string]cachedCert
@@ -113,9 +117,60 @@ func (c *certCache) len() int {
 	return len(c.m)
 }
 
+// carry returns the cache for the next snapshot of the same key epoch,
+// whose belief store is store, and how many entries it dropped.
+//
+// Soundness. Within a key epoch a belief mutation only adds to the belief
+// set: links, graph edges and delegations add beliefs, and revocations add
+// negative ones (revoked memberships and keys). Adding a belief never
+// falsifies an earlier derivation in this logic, so the only conclusions
+// a new snapshot can withdraw are the ones a revocation blocks. A cached
+// verification rests on two beliefs that a revocation can reach: the
+// signer's key (KeyFor of the issuer, which skips revoked keys) and the
+// concluded formula itself — an identity's key binding (a revoked key is
+// refused by AcceptKeyCertificate) or a membership (a revoked membership
+// is refused by AcceptMembershipCertificate). An entry is dropped when
+// either is revoked in the new store at any time (clock.Infinity), which
+// is at least as strict as the checks a cache hit re-runs at the current
+// time; everything else an entry depends on — the anchors' jurisdictions
+// and the certificate's signature and validity interval — is fixed for
+// the epoch or re-checked on every hit. The entries kept are therefore
+// exactly conclusions the full derivation would reach again against the
+// new beliefs, and a key revocation effective later still denies a hit
+// once it takes hold, because the hit re-checks the signer's and the
+// subject's keys at the current time. Entries added to c after the copy
+// are not carried; the next snapshot simply verifies those certificates
+// again.
+func (c *certCache) carry(store *logic.BeliefStore) (*certCache, int) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	next := &certCache{m: make(map[string]cachedCert, len(c.m))}
+	for fp, e := range c.m {
+		if !e.falsifiedBy(store) {
+			next.m[fp] = e
+		}
+	}
+	return next, len(c.m) - len(next.m)
+}
+
+// falsifiedBy reports whether a revocation in store withdraws a belief
+// the cached verification rests on.
+func (e cachedCert) falsifiedBy(store *logic.BeliefStore) bool {
+	if store.KeyRevoked(e.signer, clock.Infinity) {
+		return true
+	}
+	switch f := e.formula.(type) {
+	case logic.KeySpeaksFor:
+		return store.KeyRevoked(f.K, clock.Infinity)
+	case logic.MemberOf:
+		return store.Revoked(f.Who, f.G, clock.Infinity)
+	}
+	return false
+}
+
 // mutate runs fn against a fork of the current base engine and, on
-// success, seals the fork and publishes it as the new snapshot with a
-// fresh certificate cache. Sealing folds the mutation's overlay into the
+// success, seals the fork and publishes it as the new snapshot with the
+// certificate cache carried over (certCache.carry). Sealing folds the mutation's overlay into the
 // immutable base layers, so Authorize's per-request forks of the new
 // snapshot stay O(1). On error the fork is discarded and the published
 // state is untouched. Mutators are serialized by s.mu; Authorize never
@@ -142,26 +197,30 @@ func (s *Server) mutate(fn func(cur *state, eng *logic.Engine) (*wal.Record, err
 		}
 	}
 	eng.Seal()
+	cache, dropped := cur.cache.carry(eng.Store())
 	s.publish(&state{
 		anchors:   cur.anchors,
 		eng:       eng,
 		epoch:     cur.epoch,
 		watermark: cur.watermark + 1,
-		cache:     newCertCache(),
+		cache:     cache,
 		residues:  s.compileResiduals(eng),
-	}, cur)
+	}, dropped)
 	return nil
 }
 
-// publish swaps in the new state, accounting the discarded cache entries.
-func (s *Server) publish(next, prev *state) {
+// publish swaps in the new state, accounting the certificate cache
+// entries it carried and the dropped ones.
+func (s *Server) publish(next *state, dropped int) {
+	carried := next.cache.len()
 	s.state.Store(next)
-	if prev != nil {
-		if n := prev.cache.len(); n > 0 {
-			s.reg.Counter(MetricCacheInvalidated).Add(int64(n))
-		}
-		s.reg.Counter(MetricSnapshotSwaps).Inc()
+	if dropped > 0 {
+		s.reg.Counter(MetricCacheInvalidated).Add(int64(dropped))
 	}
+	if carried > 0 {
+		s.reg.Counter(MetricCacheCarried).Add(int64(carried))
+	}
+	s.reg.Counter(MetricSnapshotSwaps).Inc()
 }
 
 // applyReanchor replaces the server's trust anchors — the re-anchoring a
@@ -192,7 +251,7 @@ func (s *Server) applyReanchor(anchors TrustAnchors) error {
 		watermark: 0,
 		cache:     newCertCache(),
 		residues:  s.compileResiduals(eng),
-	}, cur)
+	}, cur.cache.len())
 	return nil
 }
 
@@ -211,5 +270,5 @@ func (s *Server) restoreAt(anchors TrustAnchors, epoch uint64) {
 		watermark: 0,
 		cache:     newCertCache(),
 		residues:  s.compileResiduals(eng),
-	}, cur)
+	}, cur.cache.len())
 }

@@ -67,10 +67,12 @@ type tcpPeer struct {
 // Transport metric names. Frame/byte counters are labeled dir="in"/"out";
 // per-peer connection gauges and error counters are labeled by peer name.
 const (
-	// MetricFrames counts envelopes moved, labeled dir="in"/"out".
+	// MetricFrames counts envelopes moved, labeled dir="in"/"out"; an
+	// outbound frame is counted when its write is attempted.
 	MetricFrames = "transport_frames_total"
 	// MetricBytes counts frame payload bytes moved (including the 4-byte
-	// length prefix), labeled dir="in"/"out".
+	// length prefix), labeled dir="in"/"out"; outbound bytes are counted
+	// with the frame's write attempt.
 	MetricBytes = "transport_bytes_total"
 	// MetricDialErrors counts failed dials, labeled by peer.
 	MetricDialErrors = "transport_dial_errors_total"
@@ -234,8 +236,6 @@ func (n *TCPNode) Send(to, kind string, payload []byte) error {
 		}
 		err := n.sendOnce(to, frame, attempt > 1)
 		if err == nil {
-			n.metrics().Counter(MetricFrames, "dir", "out").Inc()
-			n.metrics().Counter(MetricBytes, "dir", "out").Add(int64(len(frame)))
 			return nil
 		}
 		lastErr = err
@@ -290,6 +290,11 @@ func (n *TCPNode) sendOnce(to string, frame []byte, redial bool) error {
 	if n.opts.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(n.opts.WriteTimeout))
 	}
+	// Counted before the write: once the bytes are out, the peer may
+	// answer — and a reader of the counters see the answer — before Write
+	// returns. A failed write also counts in MetricSendErrors.
+	n.metrics().Counter(MetricFrames, "dir", "out").Inc()
+	n.metrics().Counter(MetricBytes, "dir", "out").Add(int64(len(frame)))
 	_, err := conn.Write(frame)
 	if err != nil {
 		conn.Close()

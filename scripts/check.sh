@@ -42,6 +42,9 @@ go test -run '^$' -bench=WALAppend -benchtime=1x ./internal/wal
 echo "==> bench smoke (go test -bench=FollowerFleet -benchtime=1x ./internal/daemon)"
 go test -run '^$' -bench=FollowerFleet -benchtime=1x ./internal/daemon
 
+echo "==> perfbench self-test (every workload at tiny scale: correct decisions, exact layer counts)"
+(cd perfbench && go test ./...)
+
 echo "==> loadgen smoke (tiny coalition, 2s closed loop with churn)"
 go run ./cmd/loadgen -principals 2000 -objects 16 -keys 8 -pool 48 \
     -duration 2s -concurrency 2 -churn-every 300ms -label smoke > /dev/null
